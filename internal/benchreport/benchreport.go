@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"time"
 
+	"omnc/internal/protocol"
 	"omnc/internal/sessionbench"
 )
 
@@ -190,32 +191,7 @@ func MeasureScheme(s sessionbench.SchemeScenario, iters int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := s.Run(nw, src, dst)
-	if err != nil {
-		return Result{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if st, err = s.Run(nw, src, dst); err != nil {
-			return Result{}, err
-		}
-		if st.GenerationsDecoded == 0 {
-			return Result{}, fmt.Errorf("session decoded nothing")
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	n := int64(iters)
-	return Result{
-		Name:        s.Name,
-		NsPerOp:     elapsed.Nanoseconds() / n,
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
-		Throughput:  st.Throughput,
-	}, nil
+	return measure(s.Name, iters, session(func() (*protocol.Stats, error) { return s.Run(nw, src, dst) }))
 }
 
 // MeasureField is Measure for one coefficient-field session; field entries
@@ -226,107 +202,31 @@ func MeasureField(s sessionbench.FieldScenario, iters int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := s.Run(nw, src, dst)
-	if err != nil {
-		return Result{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if st, err = s.Run(nw, src, dst); err != nil {
-			return Result{}, err
-		}
-		if st.GenerationsDecoded == 0 {
-			return Result{}, fmt.Errorf("session decoded nothing")
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	n := int64(iters)
-	return Result{
-		Name:        s.Name,
-		NsPerOp:     elapsed.Nanoseconds() / n,
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
-		Throughput:  st.Throughput,
-	}, nil
+	return measure(s.Name, iters, session(func() (*protocol.Stats, error) { return s.Run(nw, src, dst) }))
 }
 
-// Measure runs one warmup session (arena fill, lazy tables) and then iters
-// timed sessions, deriving allocs/op and B/op from MemStats deltas — the
-// same quantities testing.B reports with -benchmem.
+// Measure benchmarks one session scenario (see measure) and attaches its
+// frozen baseline.
 func Measure(s sessionbench.Scenario, iters int) (Result, error) {
 	nw, src, dst, err := sessionbench.Network()
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := s.Run(nw, src, dst)
-	if err != nil {
-		return Result{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if st, err = s.Run(nw, src, dst); err != nil {
-			return Result{}, err
-		}
-		if st.GenerationsDecoded == 0 {
-			return Result{}, fmt.Errorf("session decoded nothing")
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	n := int64(iters)
-	return Result{
-		Name:        s.Name,
-		NsPerOp:     elapsed.Nanoseconds() / n,
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
-		Throughput:  st.Throughput,
-		Baseline:    baselines[s.Name],
-	}, nil
+	r, err := measure(s.Name, iters, session(func() (*protocol.Stats, error) { return s.Run(nw, src, dst) }))
+	r.Baseline = baselines[s.Name]
+	return r, err
 }
 
-// MeasureMulti is Measure for a multi-unicast workload: one warmup, then
-// iters timed runs of all contending sessions on one shared engine.
+// MeasureMulti is Measure for a multi-unicast workload: each run drives all
+// contending sessions on one shared engine.
 func MeasureMulti(s sessionbench.MultiScenario, iters int) (Result, error) {
 	nw, _, _, err := sessionbench.Network()
 	if err != nil {
 		return Result{}, err
 	}
-	ms, err := s.Run(nw)
-	if err != nil {
-		return Result{}, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if ms, err = s.Run(nw); err != nil {
-			return Result{}, err
-		}
-		for j, st := range ms.PerSession {
-			if st.Throughput <= 0 {
-				return Result{}, fmt.Errorf("session %d delivered nothing", j)
-			}
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	n := int64(iters)
-	return Result{
-		Name:        s.Name,
-		NsPerOp:     elapsed.Nanoseconds() / n,
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
-		Throughput:  ms.AggregateThroughput,
-		Baseline:    multiBaselines[s.Name],
-	}, nil
+	r, err := measure(s.Name, iters, multi(func() (*protocol.MultiStats, error) { return s.Run(nw) }))
+	r.Baseline = multiBaselines[s.Name]
+	return r, err
 }
 
 // MeasureScaled is MeasureMulti for the parallel-engine scaling workload:
@@ -338,34 +238,71 @@ func MeasureScaled(s sessionbench.ScaledMultiScenario, iters int) (Result, error
 	if err != nil {
 		return Result{}, err
 	}
-	ms, err := s.Run(nw, sessions)
-	if err != nil {
+	return measure(s.Name, iters, multi(func() (*protocol.MultiStats, error) { return s.Run(nw, sessions) }))
+}
+
+// measure runs one warmup (arena fill, lazy tables) and then iters timed
+// runs, deriving allocs/op and B/op from MemStats deltas — the same
+// quantities testing.B reports with -benchmem. run reports one run's
+// throughput, or an error when the run failed or delivered nothing; the
+// result carries the last timed run's throughput.
+func measure(name string, iters int, run func() (throughput float64, err error)) (Result, error) {
+	if _, err := run(); err != nil {
 		return Result{}, err
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
+	var tput float64
 	for i := 0; i < iters; i++ {
-		if ms, err = s.Run(nw, sessions); err != nil {
+		var err error
+		if tput, err = run(); err != nil {
 			return Result{}, err
-		}
-		for j, st := range ms.PerSession {
-			if st.Throughput <= 0 {
-				return Result{}, fmt.Errorf("session %d delivered nothing", j)
-			}
 		}
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	n := int64(iters)
 	return Result{
-		Name:        s.Name,
+		Name:        name,
 		NsPerOp:     elapsed.Nanoseconds() / n,
 		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / n,
 		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / n,
-		Throughput:  ms.AggregateThroughput,
+		Throughput:  tput,
 	}, nil
+}
+
+// session adapts a single-session run to measure: a session that decoded
+// no generation is an error.
+func session(run func() (*protocol.Stats, error)) func() (float64, error) {
+	return func() (float64, error) {
+		st, err := run()
+		if err != nil {
+			return 0, err
+		}
+		if st.GenerationsDecoded == 0 {
+			return 0, fmt.Errorf("session decoded nothing")
+		}
+		return st.Throughput, nil
+	}
+}
+
+// multi adapts a multi-session run to measure: every session must deliver
+// something, and the throughput is the aggregate.
+func multi(run func() (*protocol.MultiStats, error)) func() (float64, error) {
+	return func() (float64, error) {
+		ms, err := run()
+		if err != nil {
+			return 0, err
+		}
+		for j, st := range ms.PerSession {
+			if st.Throughput <= 0 {
+				return 0, fmt.Errorf("session %d delivered nothing", j)
+			}
+		}
+		return ms.AggregateThroughput, nil
+	}
 }
 
 // CheckFile validates a committed report file (see Check).

@@ -24,7 +24,7 @@ type BatchDecoder struct {
 }
 
 // NewBatchDecoder returns a batch decoder for the identified generation. The
-// strawman eliminates with the GF(2^8) kernels directly, so it only supports
+// strawman eliminates with the GF(2^8) kernel directly, so it only supports
 // the default field.
 func NewBatchDecoder(generation int, params Params) (*BatchDecoder, error) {
 	if err := params.Validate(); err != nil {
@@ -63,7 +63,6 @@ func (d *BatchDecoder) TryDecode() bool {
 	if len(d.packets) < n {
 		return false
 	}
-	st := d.params.strategy()
 	// Working copies: elimination is destructive.
 	coeffs := make([][]byte, len(d.packets))
 	payloads := make([][]byte, len(d.packets))
@@ -92,15 +91,15 @@ func (d *BatchDecoder) TryDecode() bool {
 		coeffs[row], coeffs[sel] = coeffs[sel], coeffs[row]
 		payloads[row], payloads[sel] = payloads[sel], payloads[row]
 		inv := gf256.Inv(coeffs[row][col])
-		gf256.ScaleSlice(st, coeffs[row], inv)
-		gf256.ScaleSlice(st, payloads[row], inv)
+		gf256.ScaleSlice(coeffs[row], inv)
+		gf256.ScaleSlice(payloads[row], inv)
 		for r := 0; r < len(coeffs); r++ {
 			if r == row {
 				continue
 			}
 			if f := coeffs[r][col]; f != 0 {
-				gf256.MulAddSlice(st, coeffs[r], coeffs[row], f)
-				gf256.MulAddSlice(st, payloads[r], payloads[row], f)
+				gf256.MulAddSlice(coeffs[r], coeffs[row], f)
+				gf256.MulAddSlice(payloads[r], payloads[row], f)
 			}
 		}
 		pivotRow[col] = row

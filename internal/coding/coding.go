@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
-
-	"omnc/internal/gf256"
 )
 
 // Params fixes the coding parameters of a session. The paper's evaluation
@@ -37,10 +35,6 @@ type Params struct {
 	GenerationSize int
 	// BlockSize is m, the number of payload bytes per block.
 	BlockSize int
-	// Strategy selects the GF(2^8) bulk-arithmetic kernel. The zero value
-	// means gf256.StrategyAccel. Ignored under Field16, which has a single
-	// kernel.
-	Strategy gf256.Strategy
 	// Field selects the coefficient field; the zero value is Field8
 	// (GF(2^8), the paper's field, bit-identical to builds without the
 	// option). Field16 halves the non-innovation probability per packet at
@@ -51,7 +45,7 @@ type Params struct {
 // DefaultParams are the evaluation parameters from Sec. 5 of the paper:
 // each generation contains 40 data blocks and each data block is 1 KB.
 func DefaultParams() Params {
-	return Params{GenerationSize: 40, BlockSize: 1024, Strategy: gf256.StrategyAccel}
+	return Params{GenerationSize: 40, BlockSize: 1024}
 }
 
 // Validate reports whether the parameters identify a usable code.
@@ -77,13 +71,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("coding: block size %d must be even under GF(2^16)", p.BlockSize)
 	}
 	return nil
-}
-
-func (p Params) strategy() gf256.Strategy {
-	if p.Strategy == 0 {
-		return gf256.StrategyAccel
-	}
-	return p.Strategy
 }
 
 // CoeffBytes returns the packed size of the coefficient vector in bytes:

@@ -9,7 +9,7 @@ import (
 )
 
 func testParams(n, m int) Params {
-	return Params{GenerationSize: n, BlockSize: m, Strategy: gf256.StrategyAccel}
+	return Params{GenerationSize: n, BlockSize: m}
 }
 
 func randomData(rng *rand.Rand, n int) []byte {
@@ -160,8 +160,8 @@ func TestNonInnovativePacketDiscarded(t *testing.T) {
 	// A scaled copy is also non-innovative.
 	pk2 := enc.Next()
 	scaled := pk2.Clone()
-	gf256.ScaleSlice(gf256.StrategyAccel, scaled.Coeffs, 7)
-	gf256.ScaleSlice(gf256.StrategyAccel, scaled.Payload, 7)
+	gf256.ScaleSlice(scaled.Coeffs, 7)
+	gf256.ScaleSlice(scaled.Payload, 7)
 	if inn, _ := dec.Add(pk2); !inn {
 		t.Fatal("second packet must be innovative")
 	}
@@ -386,28 +386,5 @@ func TestNewDecoderRecoderValidate(t *testing.T) {
 	}
 	if _, err := NewRecoder(0, testParams(1, 0), rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("NewRecoder must validate params")
-	}
-}
-
-func TestStrategiesProduceSameDecoding(t *testing.T) {
-	// The choice of arithmetic kernel must never change decoding results.
-	data := make([]byte, 6*8)
-	rand.New(rand.NewSource(18)).Read(data)
-	var outputs [][]byte
-	for _, s := range []gf256.Strategy{gf256.StrategyNaive, gf256.StrategyTable, gf256.StrategyBitPlane, gf256.StrategyAccel} {
-		p := Params{GenerationSize: 6, BlockSize: 8, Strategy: s}
-		rng := rand.New(rand.NewSource(19)) // same packet sequence per strategy
-		gen, _ := NewGeneration(0, p, data)
-		enc := NewEncoder(gen, rng)
-		dec, _ := NewDecoder(0, p)
-		for !dec.Decoded() {
-			dec.Add(enc.Next())
-		}
-		outputs = append(outputs, dec.Data())
-	}
-	for i := 1; i < len(outputs); i++ {
-		if !bytes.Equal(outputs[0], outputs[i]) {
-			t.Fatalf("strategy %d decoded different data", i)
-		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"omnc/internal/coding"
 	"omnc/internal/core"
-	"omnc/internal/gf256"
 	"omnc/internal/graph"
 	"omnc/internal/metrics"
 	"omnc/internal/parallel"
@@ -155,7 +154,7 @@ func PaperConfig(seed int64) Config {
 		Duration:            800,
 		Capacity:            2e4,
 		CBRRate:             1e4,
-		Coding:              coding.Params{GenerationSize: 40, BlockSize: 1024, Strategy: gf256.StrategyAccel},
+		Coding:              coding.Params{GenerationSize: 40, BlockSize: 1024},
 		AirPacketSize:       40 + 1024,
 		QueueSampleInterval: 0.5,
 		Seed:                seed,
@@ -197,7 +196,7 @@ func (c Config) withDefaults() Config {
 		c.Capacity = 2e4
 	}
 	if c.Coding.GenerationSize == 0 {
-		c.Coding = coding.Params{GenerationSize: 40, BlockSize: 8, Strategy: gf256.StrategyAccel}
+		c.Coding = coding.Params{GenerationSize: 40, BlockSize: 8}
 	}
 	if c.AirPacketSize == 0 {
 		c.AirPacketSize = c.Coding.CoeffBytes() + 1024

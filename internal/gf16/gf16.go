@@ -6,8 +6,7 @@
 // trade-off the -field knob exposes.
 //
 // Elements are packed into byte slices as little-endian uint16 lanes. The
-// bulk kernels follow the same per-scalar split-table technique as the
-// package gf256 nibble kernel, lifted one level: multiplication by a fixed c
+// bulk kernels use per-scalar split tables: multiplication by a fixed c
 // is GF(2)-linear, so c*x resolves as loTab[x & 0xFF] ^ hiTab[x >> 8] against
 // two 256-entry tables built from c's sixteen bit-plane products in a few
 // hundred XORs — no 8 GiB product table, no per-call log/exp chains.

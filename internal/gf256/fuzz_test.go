@@ -7,7 +7,7 @@ import (
 
 // refMulAdd is the byte-at-a-time reference: shift-and-reduce multiplication
 // with no tables and no word tricks, so it shares no machinery with the
-// kernels under test.
+// kernel under test.
 func refMulAdd(dst, src []byte, c byte) {
 	for i := range src {
 		dst[i] ^= mulSlow(c, src[i])
@@ -20,12 +20,48 @@ func refMul(dst, src []byte, c byte) {
 	}
 }
 
-// FuzzGFKernels differentially tests every bulk kernel — nibble, bit-plane
-// wide XOR, full table, naive log/exp, and the c==1 xorSlice fast path —
-// against the byte-at-a-time reference, across random lengths (word loops
-// plus tails), random buffer alignments (the wide kernels read 8-byte words
-// at arbitrary offsets) and dst==src aliasing (the in-place Scale pattern;
-// partial overlap stays forbidden by contract).
+// naiveMulAdd is the paper's "traditional lookup-table approach": one
+// log/exp lookup pair per byte. It is the second reference and the
+// baseline of the Sec. 4 claim benchmark.
+func naiveMulAdd(dst, src []byte, c byte) {
+	if c == 0 {
+		return
+	}
+	logC := int(logTable[c])
+	for i, v := range src {
+		if v != 0 {
+			dst[i] ^= expTable[logC+int(logTable[v])]
+		}
+	}
+}
+
+func naiveMul(dst, src []byte, c byte) {
+	logC := int(logTable[c])
+	for i, v := range src {
+		if c == 0 || v == 0 {
+			dst[i] = 0
+		} else {
+			dst[i] = expTable[logC+int(logTable[v])]
+		}
+	}
+}
+
+// bulkOp is one bulk implementation under test.
+type bulkOp struct {
+	name string
+	f    func(dst, src []byte, c byte)
+}
+
+// mulAddOps are the production multiply-add entry points: the package
+// function and the frozen Kernel handle. Each is held to both references.
+var mulAddOps = []bulkOp{{"MulAddSlice", MulAddSlice}, {"Kernel.MulAdd", KernelFor(StrategyAccel).MulAdd}}
+
+// FuzzGFKernels differentially tests the bulk kernel — MulAddSlice (and its
+// c==1 xorSlice fast path), MulSlice, ScaleSlice and the frozen
+// Kernel.MulAdd — against the naive log/exp and shift-and-reduce references,
+// across random lengths (unrolled loops plus tails), random buffer
+// alignments and dst==src aliasing (the in-place Scale pattern; partial
+// overlap stays forbidden by contract).
 func FuzzGFKernels(f *testing.F) {
 	f.Add([]byte{}, byte(0), uint8(0), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(1), uint8(1), false)
@@ -33,13 +69,12 @@ func FuzzGFKernels(f *testing.F) {
 	f.Add([]byte{0x80, 0x00, 0x1B, 0xCA}, byte(0x02), uint8(3), false)
 	f.Add(bytes.Repeat([]byte{0xAA, 0x55}, 100), byte(0xFE), uint8(5), true)
 
-	strategies := []Strategy{StrategyAccel, StrategyBitPlane, StrategyTable, StrategyNaive}
 	f.Fuzz(func(t *testing.T, data []byte, c byte, offset uint8, alias bool) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
 		// Rebase the operands at a fuzzed offset inside larger backings so
-		// the 8-byte word loops see every alignment class.
+		// the word loops see every alignment class.
 		off := int(offset % 16)
 		srcBack := make([]byte, off+len(data))
 		copy(srcBack[off:], data)
@@ -49,57 +84,49 @@ func FuzzGFKernels(f *testing.F) {
 			dstInit[i] = byte(i*131) ^ c
 		}
 
-		wantAdd := append([]byte(nil), dstInit...)
-		refMulAdd(wantAdd, src, c)
-		wantMul := make([]byte, len(data))
-		refMul(wantMul, src, c)
-		wantScale := append([]byte(nil), src...)
-		refMul(wantScale, wantScale, c)
+		// want runs both references and fails unless they agree.
+		want := func(ref, naive func(dst, src []byte, c byte), dst, src []byte) []byte {
+			a := append([]byte(nil), dst...)
+			ref(a, append([]byte(nil), src...), c)
+			b := append([]byte(nil), dst...)
+			naive(b, append([]byte(nil), src...), c)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("references disagree (c=%#x, n=%d): shift-reduce %x, naive %x", c, len(data), a, b)
+			}
+			return a
+		}
+		wantAdd := want(refMulAdd, naiveMulAdd, dstInit, src)
+		wantMul := want(refMul, naiveMul, dstInit, src)
+		wantSelfAdd := want(refMulAdd, naiveMulAdd, src, src)
 
-		for _, s := range strategies {
-			k := KernelFor(s)
-
-			dst := make([]byte, off+len(data))[off:]
+		dst := make([]byte, off+len(data))[off:]
+		buf := make([]byte, off+len(data))[off:]
+		for _, op := range mulAddOps {
 			copy(dst, dstInit)
-			MulAddSlice(s, dst, src, c)
+			op.f(dst, src, c)
 			if !bytes.Equal(dst, wantAdd) {
-				t.Fatalf("%v MulAddSlice(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantAdd)
+				t.Fatalf("%s(c=%#x, n=%d, off=%d) = %x, want %x", op.name, c, len(data), off, dst, wantAdd)
 			}
-
-			copy(dst, dstInit)
-			k.MulAdd(dst, src, c)
-			if !bytes.Equal(dst, wantAdd) {
-				t.Fatalf("%v Kernel.MulAdd(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantAdd)
-			}
-
-			copy(dst, dstInit)
-			MulSlice(s, dst, src, c)
-			if !bytes.Equal(dst, wantMul) {
-				t.Fatalf("%v MulSlice(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantMul)
-			}
-
-			copy(dst, dstInit)
-			k.Mul(dst, src, c)
-			if !bytes.Equal(dst, wantMul) {
-				t.Fatalf("%v Kernel.Mul(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantMul)
-			}
-
 			if alias {
 				// dst == src exactly: the one aliasing shape the contract
-				// permits, exercised by Scale and in-place elimination.
-				buf := make([]byte, off+len(data))[off:]
+				// permits, exercised by in-place elimination.
 				copy(buf, src)
-				k.Scale(buf, c)
-				if !bytes.Equal(buf, wantScale) {
-					t.Fatalf("%v Scale(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, buf, wantScale)
+				op.f(buf, buf, c)
+				if !bytes.Equal(buf, wantSelfAdd) {
+					t.Fatalf("%s self-alias(c=%#x, n=%d, off=%d) = %x, want %x", op.name, c, len(data), off, buf, wantSelfAdd)
 				}
-				copy(buf, src)
-				MulAddSlice(s, buf, buf, c)
-				wantSelf := append([]byte(nil), src...)
-				refMulAdd(wantSelf, src, c)
-				if !bytes.Equal(buf, wantSelf) {
-					t.Fatalf("%v MulAddSlice self-alias(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, buf, wantSelf)
-				}
+			}
+		}
+		copy(dst, dstInit)
+		MulSlice(dst, src, c)
+		if !bytes.Equal(dst, wantMul) {
+			t.Fatalf("MulSlice(c=%#x, n=%d, off=%d) = %x, want %x", c, len(data), off, dst, wantMul)
+		}
+		if alias {
+			copy(buf, src)
+			ScaleSlice(buf, c)
+			if !bytes.Equal(buf, wantMul) {
+				t.Fatalf("ScaleSlice(c=%#x, n=%d, off=%d) = %x, want %x", c, len(data), off, buf, wantMul)
 			}
 		}
 	})

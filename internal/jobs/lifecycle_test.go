@@ -5,14 +5,39 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
 
-// openQueue is the test helper: a fresh queue over path with fast retries.
-func openQueue(t *testing.T, path string) *Queue {
+// fakeClock is a queue clock the tests move by hand: a test advances it
+// past a retry deadline instead of sleeping until the wall clock gets
+// there, so no claim depends on scheduling.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+// openQueue is the test helper: the queue over path on the given clock.
+func openQueue(t *testing.T, path string, clk *fakeClock) *Queue {
 	t.Helper()
-	q, err := OpenQueue(path)
+	q, err := openQueueClock(path, clk.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +62,8 @@ func claimAll(t *testing.T, q *Queue) []string {
 
 func TestQueuePriorityThenFIFOClaim(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, path, clk)
 	a, _ := q.SubmitPriority(sessionSpec(), 0)
 	b, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindFig1}, 5)
 	c, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindBench}, 5)
@@ -55,7 +81,7 @@ func TestQueuePriorityThenFIFOClaim(t *testing.T) {
 	// Priorities are journaled: the same order re-emerges after a restart
 	// (recovery requeues the running jobs in submission order, but Claim
 	// re-sorts by priority).
-	q2 := openQueue(t, path)
+	q2 := openQueue(t, path, clk)
 	defer q2.Close()
 	if got := claimAll(t, q2); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("claim order after reopen %v, want %v", got, want)
@@ -64,7 +90,8 @@ func TestQueuePriorityThenFIFOClaim(t *testing.T) {
 
 func TestQueueSetPriority(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, path, clk)
 	a, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
 	b, _ := q.Submit(Spec{Version: 1, Kind: KindBench})
 
@@ -79,7 +106,7 @@ func TestQueueSetPriority(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	q = openQueue(t, path)
+	q = openQueue(t, path, clk)
 	defer q.Close()
 	if got := claimAll(t, q); fmt.Sprint(got) != fmt.Sprint([]string{b.ID, a.ID}) {
 		t.Fatalf("claim order %v, want [%s %s]", got, b.ID, a.ID)
@@ -97,7 +124,7 @@ func TestQueueSetPriority(t *testing.T) {
 // queue metadata, so the same experiment submitted at any priority shares
 // one content-addressed run directory.
 func TestPriorityStaysOutOfContentAddress(t *testing.T) {
-	q := openQueue(t, filepath.Join(t.TempDir(), "queue.jsonl"))
+	q := openQueue(t, filepath.Join(t.TempDir(), "queue.jsonl"), newFakeClock())
 	defer q.Close()
 	s := sessionSpec()
 	urgent, err := q.SubmitPriority(s, 100)
@@ -116,7 +143,8 @@ func TestPriorityStaysOutOfContentAddress(t *testing.T) {
 
 func TestQueueCancelPending(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, path, clk)
 	j, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
 
 	got, err := q.Cancel(j.ID)
@@ -151,7 +179,7 @@ func TestQueueCancelPending(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	q2 := openQueue(t, path)
+	q2 := openQueue(t, path, clk)
 	defer q2.Close()
 	fin, ok := q2.Get(j.ID)
 	if !ok || fin.State != JobCanceled {
@@ -167,7 +195,8 @@ func TestQueueCancelPending(t *testing.T) {
 
 func TestQueueCancelRunningSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, path, clk)
 	j, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
 	if _, ok, err := q.Claim(); err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
@@ -186,7 +215,7 @@ func TestQueueCancelRunningSurvivesRestart(t *testing.T) {
 	}
 	// Crash recovery requeues running jobs — but this one is canceled, not
 	// running, so it stays dead.
-	q2 := openQueue(t, path)
+	q2 := openQueue(t, path, clk)
 	defer q2.Close()
 	fin, _ := q2.Get(j.ID)
 	if fin.State != JobCanceled || fin.Requeues != 0 {
@@ -205,38 +234,46 @@ func TestQueueCancelRunningSurvivesRestart(t *testing.T) {
 	}
 }
 
-// claimWithin polls Claim until a job is claimable or the deadline passes —
-// the backoff window is wall-clock, so tests wait it out.
-func claimWithin(t *testing.T, q *Queue, d time.Duration) Job {
+// mustClaim claims the next job and fails the test if nothing is
+// claimable at the queue clock's current time.
+func mustClaim(t *testing.T, q *Queue) Job {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for {
-		j, ok, err := q.Claim()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			return j
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("nothing claimable before the deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
+	j, ok, err := q.Claim()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatal("nothing claimable")
+	}
+	return j
+}
+
+// waitWake fails the test unless the queue's backoff timer wakes Wait-ers.
+// The timer runs on wall time for the delay the queue clock gave it.
+func waitWake(t *testing.T, wake <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-wake:
+	case <-time.After(5 * time.Second):
+		t.Fatal("backoff expiry never woke the queue")
 	}
 }
 
 func TestQueueRetryBackoffThenDeadLetter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, filepath.Join(t.TempDir(), "queue.jsonl"), clk)
 	defer q.Close()
 	q.MaxRetries = 2
 	q.RetryBase = 30 * time.Millisecond
 
 	j, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
-	first := claimWithin(t, q, time.Second)
+	first := mustClaim(t, q)
 	if first.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1", first.Attempts)
 	}
+	// Taken before the retry arms the backoff timer, so a timer that fires
+	// early on a loaded machine still closes this channel.
+	wake := q.Wait()
 	if err := q.Fail(j.ID, Retryable(errors.New("transient io"))); err != nil {
 		t.Fatal(err)
 	}
@@ -244,21 +281,22 @@ func TestQueueRetryBackoffThenDeadLetter(t *testing.T) {
 	if got.State != JobPending || got.NotBefore == nil || got.Error != "transient io" {
 		t.Fatalf("after retryable fail: %+v, want pending with backoff and reason", got)
 	}
-	if !got.NotBefore.After(time.Now()) {
-		t.Fatalf("backoff deadline %v is not in the future", got.NotBefore)
+	if want := clk.now().Add(q.RetryBase); !got.NotBefore.Equal(want) {
+		t.Fatalf("backoff deadline %v, want %v", got.NotBefore, want)
 	}
-	// Inside the backoff window the job is invisible to Claim.
+	// Inside the backoff window the job is invisible to Claim, up to the
+	// last instant before the deadline.
 	if _, ok, _ := q.Claim(); ok {
 		t.Fatal("claimed a job inside its backoff window")
 	}
-	// The queue's own timer wakes waiters when the window expires.
-	wake := q.Wait()
-	select {
-	case <-wake:
-	case <-time.After(2 * time.Second):
-		t.Fatal("backoff expiry never woke the queue")
+	clk.advance(q.RetryBase - time.Nanosecond)
+	if _, ok, _ := q.Claim(); ok {
+		t.Fatal("claimed a job before its backoff deadline")
 	}
-	second := claimWithin(t, q, time.Second)
+	// The queue's own timer wakes waiters when the window expires.
+	waitWake(t, wake)
+	clk.advance(time.Nanosecond)
+	second := mustClaim(t, q)
 	if second.ID != j.ID || second.Attempts != 2 {
 		t.Fatalf("second claim: %+v, want attempt 2 of %s", second, j.ID)
 	}
@@ -266,7 +304,11 @@ func TestQueueRetryBackoffThenDeadLetter(t *testing.T) {
 	if err := q.Fail(j.ID, Retryable(errors.New("transient io again"))); err != nil {
 		t.Fatal(err)
 	}
-	third := claimWithin(t, q, 2*time.Second)
+	if _, ok, _ := q.Claim(); ok {
+		t.Fatal("claimed a job inside its second backoff window")
+	}
+	clk.advance(2 * q.RetryBase)
+	third := mustClaim(t, q)
 	if third.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", third.Attempts)
 	}
@@ -284,13 +326,13 @@ func TestQueueRetryBackoffThenDeadLetter(t *testing.T) {
 }
 
 func TestQueueNonRetryableAndZeroRetriesFailTerminally(t *testing.T) {
-	q := openQueue(t, filepath.Join(t.TempDir(), "queue.jsonl"))
+	q := openQueue(t, filepath.Join(t.TempDir(), "queue.jsonl"), newFakeClock())
 	defer q.Close()
 	q.MaxRetries = 5
 
 	// A plain error is terminal no matter the retry budget.
 	a, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
-	claimWithin(t, q, time.Second)
+	mustClaim(t, q)
 	if err := q.Fail(a.ID, errors.New("bad spec semantics")); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +343,7 @@ func TestQueueNonRetryableAndZeroRetriesFailTerminally(t *testing.T) {
 	// MaxRetries 0 turns even retryable failures terminal.
 	q.MaxRetries = 0
 	b, _ := q.Submit(Spec{Version: 1, Kind: KindBench})
-	claimWithin(t, q, time.Second)
+	mustClaim(t, q)
 	if err := q.Fail(b.ID, Retryable(errors.New("transient"))); err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +368,12 @@ func TestQueueNonRetryableAndZeroRetriesFailTerminally(t *testing.T) {
 // the window passes — and re-arms the wake timer.
 func TestQueueBackoffSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, path, clk)
 	q.MaxRetries = 1
 	q.RetryBase = 300 * time.Millisecond
 	j, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
-	claimWithin(t, q, time.Second)
+	mustClaim(t, q)
 	if err := q.Fail(j.ID, Retryable(errors.New("flaky"))); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +381,7 @@ func TestQueueBackoffSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q2 := openQueue(t, path)
+	q2 := openQueue(t, path, clk)
 	defer q2.Close()
 	got, _ := q2.Get(j.ID)
 	if got.State != JobPending || got.NotBefore == nil || got.Attempts != 1 {
@@ -347,13 +390,10 @@ func TestQueueBackoffSurvivesRestart(t *testing.T) {
 	if _, ok, _ := q2.Claim(); ok {
 		t.Fatal("restart forgave the backoff window")
 	}
-	wake := q2.Wait()
-	select {
-	case <-wake:
-	case <-time.After(2 * time.Second):
-		t.Fatal("reopened queue never re-armed the backoff wake")
-	}
-	if again := claimWithin(t, q2, time.Second); again.ID != j.ID || again.Attempts != 2 {
+	// The reopened queue re-armed the wake for the journaled deadline.
+	waitWake(t, q2.Wait())
+	clk.advance(q.RetryBase)
+	if again := mustClaim(t, q2); again.ID != j.ID || again.Attempts != 2 {
 		t.Fatalf("claim after restart+backoff: %+v", again)
 	}
 }
@@ -364,7 +404,8 @@ func TestQueueBackoffSurvivesRestart(t *testing.T) {
 // extended record set.
 func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
-	q := openQueue(t, path)
+	clk := newFakeClock()
+	q := openQueue(t, path, clk)
 	q.MaxRetries = 3
 	q.RetryBase = time.Millisecond
 
@@ -377,7 +418,7 @@ func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	if _, err := q.Cancel(j1.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := claimWithin(t, q, time.Second); got.ID != j2.ID {
+	if got := mustClaim(t, q); got.ID != j2.ID {
 		t.Fatalf("claimed %s, want the high-priority %s", got.ID, j2.ID)
 	}
 	if err := q.Fail(j2.ID, Retryable(errors.New("blip"))); err != nil {
@@ -397,7 +438,7 @@ func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	q2 := openQueue(t, path)
+	q2 := openQueue(t, path, clk)
 	g1, _ := q2.Get(j1.ID)
 	g2, _ := q2.Get(j2.ID)
 	g3, _ := q2.Get(j3.ID)
@@ -419,7 +460,9 @@ func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	if err := q2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	q3 := openQueue(t, path)
+	// Past j2's backoff deadline, it is the best claim again.
+	clk.advance(q.RetryBase)
+	q3 := openQueue(t, path, clk)
 	defer q3.Close()
 	if got := claimAll(t, q3); fmt.Sprint(got) != fmt.Sprint([]string{j2.ID, j4.ID, j3.ID}) {
 		t.Fatalf("claim order after double replay: %v, want [%s %s %s]", got, j2.ID, j4.ID, j3.ID)

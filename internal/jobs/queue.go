@@ -134,6 +134,10 @@ type Queue struct {
 	seq    int
 	closed bool
 	timers []*time.Timer
+	// now is the queue's clock: journal timestamps, retry deadlines and the
+	// backoff checks all read it. OpenQueue uses time.Now; tests inject a
+	// clock they advance past a deadline instead of sleeping.
+	now func() time.Time
 
 	// wake is closed and replaced whenever a job becomes claimable, so the
 	// scheduler can block on Wait instead of polling.
@@ -146,6 +150,13 @@ type Queue struct {
 // re-runs the work after restart, bit-identically from the Spec's seed.
 // Jobs canceled or mid-backoff stay exactly where the journal left them.
 func OpenQueue(path string) (*Queue, error) {
+	return openQueueClock(path, time.Now)
+}
+
+// openQueueClock is OpenQueue on the given clock. The recovery pass after
+// replay reads it too, so a reopened queue judges backoff deadlines by the
+// clock that set them.
+func openQueueClock(path string, now func() time.Time) (*Queue, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
@@ -153,7 +164,7 @@ func OpenQueue(path string) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
-	q := &Queue{RetryBase: time.Second, f: f, jobs: make(map[string]*Job), wake: make(chan struct{})}
+	q := &Queue{RetryBase: time.Second, f: f, jobs: make(map[string]*Job), wake: make(chan struct{}), now: now}
 	if err := q.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -168,7 +179,7 @@ func OpenQueue(path string) (*Queue, error) {
 				f.Close()
 				return nil, err
 			}
-		case j.State == JobPending && j.NotBefore != nil && time.Now().Before(*j.NotBefore):
+		case j.State == JobPending && j.NotBefore != nil && q.now().Before(*j.NotBefore):
 			// The restart does not forgive the backoff; re-arm its wake.
 			q.armWake(*j.NotBefore)
 		}
@@ -318,7 +329,7 @@ func (q *Queue) SubmitPriority(s Spec, priority int) (Job, error) {
 	defer q.mu.Unlock()
 	q.seq++
 	id := fmt.Sprintf("j%d", q.seq)
-	rec := journalRecord{Op: "submit", ID: id, Time: time.Now().UTC(), Spec: &s, Priority: priority}
+	rec := journalRecord{Op: "submit", ID: id, Time: q.now().UTC(), Spec: &s, Priority: priority}
 	if err := q.append(rec); err != nil {
 		return Job{}, err
 	}
@@ -345,7 +356,7 @@ func (q *Queue) SetPriority(id string, priority int) (Job, error) {
 func (q *Queue) Claim() (Job, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	now := time.Now()
+	now := q.now()
 	best := ""
 	for _, id := range q.order {
 		j := q.jobs[id]
@@ -393,7 +404,7 @@ func (q *Queue) Fail(id string, cause error) error {
 		if shift > 10 {
 			shift = 10 // cap the doubling; backoff is already minutes-long
 		}
-		nb := time.Now().UTC().Add(q.RetryBase << shift).Truncate(0)
+		nb := q.now().UTC().Add(q.RetryBase << shift).Truncate(0)
 		rec := journalRecord{Op: "retry", Err: msg, NotBefore: &nb}
 		if err := q.transition(id, JobRunning, JobPending, rec); err != nil {
 			return err
@@ -457,7 +468,7 @@ func (q *Queue) transition(id string, from, to JobState, rec journalRecord) erro
 		}
 		return fmt.Errorf("jobs: queue: job %s is %s, not %s (cannot move to %s)", id, j.State, from, to)
 	}
-	rec.ID, rec.Time = id, time.Now().UTC()
+	rec.ID, rec.Time = id, q.now().UTC()
 	return q.append(rec)
 }
 
@@ -502,7 +513,7 @@ func (q *Queue) wakeLocked() {
 // re-Claim when the job becomes eligible. Safe with or without q.mu held —
 // the timer body takes the lock itself.
 func (q *Queue) armWake(nb time.Time) {
-	d := time.Until(nb) + time.Millisecond
+	d := nb.Sub(q.now()) + time.Millisecond
 	if d < 0 {
 		d = 0
 	}

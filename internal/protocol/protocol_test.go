@@ -5,7 +5,6 @@ import (
 
 	"omnc/internal/coding"
 	"omnc/internal/core"
-	"omnc/internal/gf256"
 	"omnc/internal/topology"
 	"omnc/internal/trace"
 )
@@ -27,7 +26,7 @@ func diamond(t *testing.T) *topology.Network {
 
 func fastConfig(seed int64) Config {
 	return Config{
-		Coding:        coding.Params{GenerationSize: 8, BlockSize: 16, Strategy: gf256.StrategyAccel},
+		Coding:        coding.Params{GenerationSize: 8, BlockSize: 16},
 		AirPacketSize: 8 + 1024, // air-time fidelity of the paper's packets
 		Capacity:      2e4,
 		Duration:      120,
