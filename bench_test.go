@@ -173,139 +173,70 @@ func BenchmarkRunComparisonWorkers(b *testing.B) {
 	}
 }
 
-// benchSession is the allocation trajectory the repo records in
-// BENCH_<n>.json: one emulated unicast session end to end (node selection,
-// rate control, coding, MAC) with allocs/op and B/op reported. The scenario
-// itself lives in internal/sessionbench so cmd/omnc-bench records exactly
-// this workload; the regression gate lives in internal/coding's and
-// internal/protocol's AllocsPerRun tests.
-func benchSession(b *testing.B, scenario int) {
-	s := sessionbench.Scenarios()[scenario]
-	nw, src, dst, err := sessionbench.Network()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var tp float64
-	for i := 0; i < b.N; i++ {
-		st, err := s.Run(nw, src, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.GenerationsDecoded == 0 {
-			b.Fatal("session decoded nothing")
-		}
-		tp = st.Throughput
-	}
-	b.ReportMetric(tp, "bytes/s")
-}
-
-func BenchmarkSessionOMNC(b *testing.B) { benchSession(b, 0) }
-
-func BenchmarkSessionMORE(b *testing.B) { benchSession(b, 1) }
-
-func BenchmarkSessionETX(b *testing.B) { benchSession(b, 2) }
-
-// benchSessionScheme measures one coding-scheme session (the scenario lives
-// in internal/sessionbench so cmd/omnc-bench records exactly this workload);
-// the allocs/op numbers prove the strategy layer rides the pooled arena.
-func benchSessionScheme(b *testing.B, scenario int) {
-	s := sessionbench.SchemeScenarios()[scenario]
-	nw, src, dst, err := sessionbench.Network()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var tp float64
-	for i := 0; i < b.N; i++ {
-		st, err := s.Run(nw, src, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.GenerationsDecoded == 0 {
-			b.Fatal("session decoded nothing")
-		}
-		tp = st.Throughput
-	}
-	b.ReportMetric(tp, "bytes/s")
-}
-
-func BenchmarkSessionSchemeRLNC(b *testing.B) { benchSessionScheme(b, 0) }
-
-func BenchmarkSessionSchemeRLNCE2E(b *testing.B) { benchSessionScheme(b, 1) }
-
-func BenchmarkSessionSchemeRS(b *testing.B) { benchSessionScheme(b, 2) }
-
-// benchMultiSession measures the multi-unicast hot path: two sessions of one
-// protocol contending on a single shared engine and MAC (the scenario lives
-// in internal/sessionbench so cmd/omnc-bench records exactly this workload).
-func benchMultiSession(b *testing.B, scenario int) {
-	s := sessionbench.MultiScenarios()[scenario]
-	nw, _, _, err := sessionbench.Network()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var tp float64
-	for i := 0; i < b.N; i++ {
-		ms, err := s.Run(nw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, st := range ms.PerSession {
-			if st.Throughput <= 0 {
-				b.Fatalf("session %d delivered nothing", j)
+// benchScenario measures one scenario of the trajectory the repo records in
+// BENCH_<n>.json — single sessions per protocol (node selection, rate
+// control, coding, MAC end to end), the two-session multi-unicast
+// contention, the parallel-engine scaling ladder, and the coding-scheme
+// sessions — with allocs/op and B/op reported. The scenarios live in
+// internal/sessionbench so cmd/omnc-bench records exactly these workloads;
+// the network is built outside the timed region. Compare ns/op across the
+// MultiSessionScaled ladder for the serial-vs-parallel speedup; its bytes/s
+// must not move.
+func benchScenario(b *testing.B, name string) {
+	var run func() (float64, error)
+	for _, s := range sessionbench.All() {
+		if s.Name == name {
+			var err error
+			if run, err = s.Setup(); err != nil {
+				b.Fatal(err)
 			}
+			break
 		}
-		tp = ms.AggregateThroughput
 	}
-	b.ReportMetric(tp, "bytes/s")
-}
-
-func BenchmarkMultiSessionOMNC(b *testing.B) { benchMultiSession(b, 0) }
-
-func BenchmarkMultiSessionETX(b *testing.B) { benchMultiSession(b, 1) }
-
-// benchMultiSessionScaled measures the parallel-engine scaling workload:
-// sixteen sessions on radio-isolated strips with full-size 1 KB blocks,
-// identical emulated work at every worker count (the scenario lives in
-// internal/sessionbench so cmd/omnc-bench records exactly this workload in
-// BENCH_4.json). Compare the ns/op across the scenario ladder for the
-// serial-vs-parallel speedup; the reported bytes/s must not move.
-func benchMultiSessionScaled(b *testing.B, scenario int) {
-	s := sessionbench.ScaledMultiScenarios()[scenario]
-	nw, sessions, err := sessionbench.ScaledNetwork()
-	if err != nil {
-		b.Fatal(err)
+	if run == nil {
+		b.Fatalf("no scenario %s", name)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	var tp float64
 	for i := 0; i < b.N; i++ {
-		ms, err := s.Run(nw, sessions)
-		if err != nil {
+		var err error
+		if tp, err = run(); err != nil {
 			b.Fatal(err)
 		}
-		for j, st := range ms.PerSession {
-			if st.Throughput <= 0 {
-				b.Fatalf("session %d delivered nothing", j)
-			}
-		}
-		tp = ms.AggregateThroughput
 	}
 	b.ReportMetric(tp, "bytes/s")
 }
 
-func BenchmarkMultiSessionScaledSerial(b *testing.B) { benchMultiSessionScaled(b, 0) }
+func BenchmarkSessionOMNC(b *testing.B) { benchScenario(b, "SessionOMNC") }
 
-func BenchmarkMultiSessionScaledWorkers2(b *testing.B) { benchMultiSessionScaled(b, 1) }
+func BenchmarkSessionMORE(b *testing.B) { benchScenario(b, "SessionMORE") }
 
-func BenchmarkMultiSessionScaledWorkers4(b *testing.B) { benchMultiSessionScaled(b, 2) }
+func BenchmarkSessionETX(b *testing.B) { benchScenario(b, "SessionETX") }
 
-func BenchmarkMultiSessionScaledWorkers8(b *testing.B) { benchMultiSessionScaled(b, 3) }
+func BenchmarkSessionSchemeRLNC(b *testing.B) { benchScenario(b, "SessionScheme/rlnc") }
+
+func BenchmarkSessionSchemeRLNCE2E(b *testing.B) { benchScenario(b, "SessionScheme/rlnc-e2e") }
+
+func BenchmarkSessionSchemeRS(b *testing.B) { benchScenario(b, "SessionScheme/rs") }
+
+func BenchmarkMultiSessionOMNC(b *testing.B) { benchScenario(b, "MultiSessionOMNC") }
+
+func BenchmarkMultiSessionETX(b *testing.B) { benchScenario(b, "MultiSessionETX") }
+
+func BenchmarkMultiSessionScaledSerial(b *testing.B) { benchScenario(b, "MultiSessionScaled/serial") }
+
+func BenchmarkMultiSessionScaledWorkers2(b *testing.B) {
+	benchScenario(b, "MultiSessionScaled/workers=2")
+}
+
+func BenchmarkMultiSessionScaledWorkers4(b *testing.B) {
+	benchScenario(b, "MultiSessionScaled/workers=4")
+}
+
+func BenchmarkMultiSessionScaledWorkers8(b *testing.B) {
+	benchScenario(b, "MultiSessionScaled/workers=8")
+}
 
 // BenchmarkTable1RateControl measures the distributed rate-control
 // algorithm itself (Table 1) on a random selected subgraph.

@@ -62,7 +62,12 @@ func run(ctx context.Context, iters int, out, check string, engWork int, schemeN
 		return nil
 	}
 
-	if schemeName != "rlnc" || redundancy != 0 {
+	// Spot modes measure one scenario; label and tail carry the knob that
+	// is not part of the scenario name.
+	var s sessionbench.Scenario
+	label, tail := "", ""
+	switch {
+	case schemeName != "rlnc" || redundancy != 0:
 		schemeVal, err := coding.ParseScheme(schemeName)
 		if err == nil {
 			err = coding.ValidateRedundancy(redundancy)
@@ -70,52 +75,25 @@ func run(ctx context.Context, iters int, out, check string, engWork int, schemeN
 		if err != nil {
 			return err
 		}
-		s := sessionbench.SchemeScenario{
-			Name:       fmt.Sprintf("SessionScheme/%s", schemeVal),
-			Scheme:     schemeVal,
-			Redundancy: redundancy,
-		}
-		r, err := benchreport.MeasureScheme(s, iters)
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.Name, err)
-		}
-		fmt.Printf("%s (redundancy %g): %d ns/op %d allocs/op %d B/op %.0f bytes/s\n",
-			r.Name, redundancy, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.Throughput)
-		return nil
-	}
-
-	if fieldName != "" && fieldName != "8" {
+		s = sessionbench.Scheme(schemeVal, redundancy)
+		label = fmt.Sprintf(" (redundancy %g)", redundancy)
+	case fieldName != "" && fieldName != "8":
 		fieldVal, err := coding.ParseField(fieldName)
 		if err != nil {
 			return err
 		}
-		s := sessionbench.FieldScenario{
-			Name:  fmt.Sprintf("SessionField/%s", fieldVal),
-			Field: fieldVal,
-		}
-		r, err := benchreport.MeasureField(s, iters)
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.Name, err)
-		}
-		fmt.Printf("%s: %d ns/op %d allocs/op %d B/op %.0f bytes/s\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.Throughput)
-		return nil
+		s = sessionbench.Field(fieldVal)
+	case engWork >= 0:
+		s = sessionbench.Scaled(engWork)
+		tail = fmt.Sprintf(" (cpus=%d)", runtime.NumCPU())
 	}
-
-	if engWork >= 0 {
-		s := sessionbench.ScaledMultiScenario{
-			Name:          fmt.Sprintf("MultiSessionScaled/workers=%d", engWork),
-			EngineWorkers: engWork,
-		}
-		if engWork == 0 {
-			s.Name = "MultiSessionScaled/serial"
-		}
-		r, err := benchreport.MeasureScaled(s, iters)
+	if s.Name != "" {
+		r, err := benchreport.Measure(s, iters)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.Name, err)
 		}
-		fmt.Printf("%s: %d ns/op %d allocs/op %d B/op %.0f bytes/s (cpus=%d)\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.Throughput, runtime.NumCPU())
+		fmt.Printf("%s%s: %d ns/op %d allocs/op %d B/op %.0f bytes/s%s\n",
+			r.Name, label, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.Throughput, tail)
 		return nil
 	}
 

@@ -47,6 +47,16 @@ import (
 	"omnc/internal/jobs"
 )
 
+// Connection bounds: a client must deliver its request headers within
+// readHeaderTimeout and a keep-alive connection closes after idleTimeout
+// without a request, so a slow-header or abandoned client cannot hold a
+// connection open forever. There is no write timeout: /jobs/{id}/events
+// streams until its job ends.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8377", "listen address")
@@ -106,7 +116,7 @@ func serve(ctx context.Context, addr, dataDir string, workers int, drain time.Du
 		return err
 	}
 	fmt.Printf("omnc-serve: listening on http://%s (data %s, %d workers)\n", ln.Addr(), dataDir, workers)
-	srv := &http.Server{Handler: s.handler()}
+	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -226,6 +226,22 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitBodySizeLimit: a Spec body of exactly maxSpecBytes is read in
+// full and accepted; one byte more is refused with 413 before decoding.
+func TestSubmitBodySizeLimit(t *testing.T) {
+	d := startDaemon(t)
+	spec := `{"version":1,"kind":"topo","seed":9,"nodes":60,"density":6}`
+	atLimit := spec + strings.Repeat(" ", maxSpecBytes-len(spec))
+	st, resp := d.post(t, atLimit)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST of exactly %d bytes: got %d, want 202", maxSpecBytes, resp.StatusCode)
+	}
+	d.waitDone(t, st.ID)
+	if _, resp := d.post(t, atLimit+" "); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of %d bytes: got %d, want 413", maxSpecBytes+1, resp.StatusCode)
+	}
+}
+
 func TestJobEventsStreamToCompletion(t *testing.T) {
 	d := startDaemon(t)
 	st, _ := d.post(t, `{"version":1,"kind":"topo","seed":5,"nodes":60,"density":6}`)

@@ -226,6 +226,7 @@ func TestNextBatchEmpty(t *testing.T) {
 // arena warm and the caller reusing its destination slice, a whole batch
 // emission allocates nothing.
 func TestAppendBatchAllocsSteadyState(t *testing.T) {
+	skipIfRace(t)
 	rec := loadedRecoder(t, 7, 16, 256, 16)
 	defer rec.Close()
 	const batch = 8

@@ -183,6 +183,14 @@ func Decode(data []byte) (Spec, error) {
 	if dec.More() {
 		return Spec{}, fmt.Errorf("jobs: spec: trailing data after the JSON document")
 	}
+	// An empty list means what an absent one does, and Encode omits both:
+	// fold it to nil so a decoded Spec survives Encode→Decode exactly.
+	if len(s.Figures) == 0 {
+		s.Figures = nil
+	}
+	if len(s.Protocols) == 0 {
+		s.Protocols = nil
+	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}

@@ -1,212 +1,141 @@
-// Package sessionbench pins the session-benchmark scenario shared by the
-// BenchmarkSession* benchmarks and cmd/omnc-bench, so the trajectory the
-// repo records in BENCH_<n>.json measures exactly the same workload as
+// Package sessionbench pins the benchmark scenarios shared by the
+// BenchmarkSession*/BenchmarkMultiSession* benchmarks and cmd/omnc-bench, so
+// the trajectory the repo records in BENCH_<n>.json measures exactly the same
+// workloads as
 //
-//	go test -bench='^BenchmarkSession' -benchmem
+//	go test -bench='^Benchmark(Multi)?Session' -benchmem
 //
-// Any change here shifts both at once; the recorded baselines in
-// cmd/omnc-bench stay comparable only as long as this file does not change.
+// Every scenario is one Scenario value: a stable name, the family it belongs
+// to, and a setup that builds the network outside the timed region. All lists
+// them in recorded order. Any change here shifts both surfaces at once; the
+// frozen baselines in internal/benchreport stay comparable only as long as
+// this file does not change.
 package sessionbench
 
 import (
+	"fmt"
+
 	"omnc"
 	"omnc/internal/coding"
 	"omnc/internal/protocol"
 	"omnc/internal/topology"
 )
 
-// Scenario is one benchmarked session: a protocol with its fixed seed on
-// the strip network.
+// Scenario families, in recorded order. A family is the unit internal/
+// benchreport gates: a report carrying any entry of a family carries all of
+// them.
+const (
+	// FamilySession is one protocol's single session on the strip network.
+	FamilySession = "Session"
+	// FamilyMulti is two sessions of one protocol contending on the shared
+	// engine over the strip network.
+	FamilyMulti = "MultiSession"
+	// FamilyScaled is the parallel-engine scaling ladder (BENCH_4.json on).
+	FamilyScaled = "MultiSessionScaled"
+	// FamilyScheme is the OMNC session under each coding scheme (BENCH_5.json
+	// on).
+	FamilyScheme = "SessionScheme"
+	// FamilyField is the OMNC session over a non-default coefficient field
+	// (BENCH_6.json on).
+	FamilyField = "SessionField"
+)
+
+// Scenario is one benchmarked workload.
 type Scenario struct {
-	// Name is the stable benchmark identifier ("SessionOMNC", ...) used in
-	// BENCH_<n>.json and as the Benchmark* suffix.
+	// Name is the stable benchmark identifier ("SessionOMNC",
+	// "MultiSessionScaled/workers=4", ...) used in BENCH_<n>.json and as the
+	// Benchmark* suffix.
 	Name string
-	// Seed feeds the session RNG; each protocol keeps its own so the
-	// recorded numbers are individually reproducible.
-	Seed  int64
-	Proto omnc.Protocol
+	// Family is the scenario's family (one of the Family constants).
+	Family string
+	setup  func() (run func() (float64, error), err error)
 }
 
-// Scenarios lists the benchmarked protocols in recorded order.
-func Scenarios() []Scenario {
+// Setup builds the scenario's network and returns run, which executes one
+// measured run and reports its throughput in bytes/s. run fails when a
+// session decoded or delivered nothing, so a silent stall never passes as a
+// fast benchmark.
+func (s Scenario) Setup() (run func() (throughput float64, err error), err error) {
+	return s.setup()
+}
+
+// All lists every recorded scenario in recorded order: sessions, multi,
+// scaled ladder, schemes, fields.
+func All() []Scenario {
+	contending := []omnc.Endpoints{{Src: 0, Dst: 10}, {Src: 1, Dst: 11}}
 	return []Scenario{
-		{Name: "SessionOMNC", Seed: 41, Proto: omnc.OMNC(omnc.RateOptions{})},
-		{Name: "SessionMORE", Seed: 42, Proto: omnc.MORE()},
-		{Name: "SessionETX", Seed: 43, Proto: omnc.ETX()},
+		// Each protocol keeps its own seed so the recorded numbers are
+		// individually reproducible.
+		session(FamilySession, "SessionOMNC", omnc.OMNC(omnc.RateOptions{}), config(41)),
+		session(FamilySession, "SessionMORE", omnc.MORE(), config(42)),
+		session(FamilySession, "SessionETX", omnc.ETX(), config(43)),
+		// Two sessions cross the strip in opposite rows, so they share relay
+		// neighbourhoods and genuinely contend.
+		multi("MultiSessionOMNC", omnc.OMNC(omnc.RateOptions{}), contending, config(51)),
+		multi("MultiSessionETX", omnc.ETX(), contending, config(53)),
+		// The serial baseline, then the parallel engine at 2, 4 and 8 workers.
+		Scaled(0), Scaled(2), Scaled(4), Scaled(8),
+		// The rlnc entry is the in-report reference the others gate against.
+		Scheme(coding.SchemeRLNC, 0),
+		Scheme(coding.SchemeRLNCE2E, 0),
+		Scheme(coding.SchemeRS, 0),
+		Field(coding.Field16),
 	}
 }
 
-// SchemeScenario is one benchmarked coding-scheme session: the OMNC protocol
-// on the strip network under a non-default coding strategy. The entries
-// prove the strategy layer rides the pooled arena — their allocs/op must
-// stay close to the default RLNC session's even though the Reed-Solomon
-// encoder and the verbatim ForwardBuffer replace the random encoder and the
-// Recoder on the hot path.
-type SchemeScenario struct {
-	// Name is the stable benchmark identifier ("SessionScheme/rs", ...)
-	// used in BENCH_<n>.json and as the Benchmark* suffix.
-	Name       string
-	Scheme     coding.Scheme
-	Redundancy float64
-}
-
-// schemeSeed keeps every SchemeScenario on the same placement and loss
+// schemeSeed keeps every Scheme scenario on the same placement and loss
 // process, so the entries differ only by strategy.
 const schemeSeed = 71
 
-// SchemeScenarios lists the benchmarked coding schemes in recorded order;
-// the rlnc entry is the in-report reference the others gate against.
-func SchemeScenarios() []SchemeScenario {
-	return []SchemeScenario{
-		{Name: "SessionScheme/rlnc", Scheme: coding.SchemeRLNC},
-		{Name: "SessionScheme/rlnc-e2e", Scheme: coding.SchemeRLNCE2E},
-		{Name: "SessionScheme/rs", Scheme: coding.SchemeRS},
-	}
-}
-
-// SchemeConfig is Config under an explicit coding scheme and redundancy.
-func SchemeConfig(scheme coding.Scheme, redundancy float64) protocol.Config {
-	cfg := Config(schemeSeed)
+// Scheme is the OMNC session on the strip network under an explicit coding
+// scheme and redundancy cap. The entries prove the scheme layer rides the
+// pooled arena — their allocs/op must stay close to the default RLNC
+// session's even though the Reed-Solomon encoder and the verbatim
+// ForwardBuffer replace the random encoder and the Recoder on the hot path.
+func Scheme(scheme coding.Scheme, redundancy float64) Scenario {
+	cfg := config(schemeSeed)
 	cfg.Scheme = scheme
 	cfg.Redundancy = redundancy
-	return cfg
+	return session(FamilyScheme, fmt.Sprintf("%s/%s", FamilyScheme, scheme), omnc.OMNC(omnc.RateOptions{}), cfg)
 }
 
-// Run executes one scheme session on nw.
-func (s SchemeScenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats, error) {
-	return omnc.Run(nw, src, dst, omnc.OMNC(omnc.RateOptions{}), SchemeConfig(s.Scheme, s.Redundancy))
-}
-
-// FieldScenario is one benchmarked coefficient-field session: the OMNC
-// protocol on the strip network coding over a non-default field. The entry
-// proves the field strategy layer rides the pooled arena and the solver
-// workspaces — a wider field doubles coefficient traffic but must not add
-// per-packet allocations.
-type FieldScenario struct {
-	// Name is the stable benchmark identifier ("SessionField/16") used in
-	// BENCH_<n>.json and as the Benchmark* suffix.
-	Name  string
-	Field coding.Field
-}
-
-// fieldSeed keeps every FieldScenario on the same placement and loss
+// fieldSeed keeps every Field scenario on the same placement and loss
 // process, so the entries differ only by coefficient field.
 const fieldSeed = 81
 
-// FieldScenarios lists the benchmarked non-default fields in recorded order.
-func FieldScenarios() []FieldScenario {
-	return []FieldScenario{
-		{Name: "SessionField/16", Field: coding.Field16},
-	}
-}
-
-// FieldConfig is Config under an explicit coefficient field; the air frame
-// grows with the coefficient vector so air times stay faithful.
-func FieldConfig(f coding.Field) protocol.Config {
-	cfg := Config(fieldSeed)
+// Field is the OMNC session on the strip network coding over field f; the
+// air frame grows with the coefficient vector so air times stay faithful.
+// The entry proves the field layer rides the pooled arena and the solver
+// workspaces — a wider field doubles coefficient traffic but must not add
+// per-packet allocations.
+func Field(f coding.Field) Scenario {
+	cfg := config(fieldSeed)
 	cfg.Coding.Field = f
 	cfg.AirPacketSize = cfg.Coding.CoeffBytes() + 1024
-	return cfg
+	return session(FamilyField, fmt.Sprintf("%s/%s", FamilyField, f), omnc.OMNC(omnc.RateOptions{}), cfg)
 }
 
-// Run executes one field session on nw.
-func (s FieldScenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats, error) {
-	return omnc.Run(nw, src, dst, omnc.OMNC(omnc.RateOptions{}), FieldConfig(s.Field))
-}
-
-// MultiScenario is one benchmarked multi-unicast workload: two sessions of
-// one protocol contending on the shared engine over the strip network.
-type MultiScenario struct {
-	// Name is the stable benchmark identifier ("MultiSessionOMNC", ...)
-	// used in BENCH_<n>.json and as the Benchmark* suffix.
-	Name string
-	// Seed feeds the shared engine and both sessions' derived RNG streams.
-	Seed  int64
-	Proto omnc.Protocol
-	// Sessions are the contending endpoint pairs.
-	Sessions []omnc.Endpoints
-}
-
-// MultiScenarios lists the benchmarked multi-session workloads in recorded
-// order. Two sessions cross the strip in opposite rows, so they share relay
-// neighbourhoods and genuinely contend.
-func MultiScenarios() []MultiScenario {
-	sessions := []omnc.Endpoints{{Src: 0, Dst: 10}, {Src: 1, Dst: 11}}
-	return []MultiScenario{
-		{Name: "MultiSessionOMNC", Seed: 51, Proto: omnc.OMNC(omnc.RateOptions{}), Sessions: sessions},
-		{Name: "MultiSessionETX", Seed: 53, Proto: omnc.ETX(), Sessions: sessions},
-	}
-}
-
-// Run executes the multi-session workload on nw.
-func (s MultiScenario) Run(nw *topology.Network) (*protocol.MultiStats, error) {
-	return omnc.RunMulti(nw, s.Sessions, s.Proto, Config(s.Seed))
-}
-
-// ScaledMultiScenario is the parallel-engine scaling workload behind
-// BenchmarkMultiSessionScaled* and the BENCH_4.json speedup record: many
-// sessions contending on one shared engine with full-size 1 KB blocks, so
-// per-session decode work (which the parallel engine shards) dominates the
-// serial MAC bookkeeping. EngineWorkers picks the engine: 0 the serial
-// reference, N >= 1 the conservative parallel engine. The emulated results
-// are bit-identical for every EngineWorkers value — only wall-clock varies.
-type ScaledMultiScenario struct {
-	// Name is the stable benchmark identifier used in BENCH_4.json and as
-	// the Benchmark* suffix.
-	Name string
-	// EngineWorkers is protocol.Config EngineWorkers for every session.
-	EngineWorkers int
-}
-
-// scaledSeed keeps every ScaledMultiScenario on the same emulation, so the
-// serial and parallel entries time identical work.
+// scaledSeed keeps every rung of the scaling ladder on the same emulation,
+// so the serial and parallel entries time identical work.
 const scaledSeed = 61
 
-// ScaledMultiScenarios lists the BENCH_4 scaling ladder in recorded order:
-// the serial baseline, then the parallel engine at 2, 4 and 8 workers.
-func ScaledMultiScenarios() []ScaledMultiScenario {
-	return []ScaledMultiScenario{
-		{Name: "MultiSessionScaled/serial", EngineWorkers: 0},
-		{Name: "MultiSessionScaled/workers=2", EngineWorkers: 2},
-		{Name: "MultiSessionScaled/workers=4", EngineWorkers: 4},
-		{Name: "MultiSessionScaled/workers=8", EngineWorkers: 8},
+// Scaled is the parallel-engine scaling workload: sixteen sessions
+// contending on one shared engine with full-size 1 KB blocks, so
+// per-session decode work (which the parallel engine shards) dominates the
+// serial MAC bookkeeping. engineWorkers picks the engine: 0 the serial
+// reference, N >= 1 the conservative parallel engine. The emulated results
+// are bit-identical for every engineWorkers value — only wall-clock varies.
+// MORE keeps the measured work purely emulation + coding (no rate-control
+// preamble diluting the parallel section).
+func Scaled(engineWorkers int) Scenario {
+	name := fmt.Sprintf("%s/workers=%d", FamilyScaled, engineWorkers)
+	if engineWorkers == 0 {
+		name = FamilyScaled + "/serial"
 	}
-}
-
-// ScaledNetwork returns the scaling-benchmark topology: sixteen
-// radio-isolated copies of the Network() strip (stacked 200 m apart, beyond
-// the 100 m PHY range), one session crossing each copy. Isolation keeps the
-// per-session oracle rate allocations alike, so sessions transmit near
-// lockstep and their same-timestamp deliveries form multi-shard rounds —
-// the workload shape the parallel engine accelerates.
-func ScaledNetwork() (nw *topology.Network, sessions []omnc.Endpoints, err error) {
-	const strips = 16
-	positions := make([]topology.Point, 0, strips*12)
-	for s := 0; s < strips; s++ {
-		yBase := float64(s) * 200
-		for i := 0; i < 6; i++ {
-			positions = append(positions,
-				topology.Point{X: float64(i) * 55, Y: yBase},
-				topology.Point{X: float64(i)*55 + 27, Y: yBase + 45},
-			)
-		}
-	}
-	nw, err = topology.FromPositions(positions, topology.DefaultPHY())
-	if err != nil {
-		return nil, nil, err
-	}
-	for s := 0; s < strips; s++ {
-		sessions = append(sessions, omnc.Endpoints{Src: s * 12, Dst: s*12 + 10})
-	}
-	return nw, sessions, nil
-}
-
-// ScaledConfig is the scaling-benchmark session configuration: the paper's
-// full 1 KB blocks (decode arithmetic at real cost, unlike the rank-fidelity
-// shortcuts elsewhere) with the generation count bounded so every run does
-// identical work.
-func ScaledConfig(engineWorkers int) protocol.Config {
-	return protocol.Config{
+	cfg := protocol.Config{
+		// The paper's full 1 KB blocks (decode arithmetic at real cost,
+		// unlike the rank-fidelity shortcuts elsewhere) with the generation
+		// count bounded so every run does identical work.
 		Coding:         coding.Params{GenerationSize: 32, BlockSize: 1024},
 		AirPacketSize:  32 + 1024,
 		Capacity:       8e4,
@@ -219,34 +148,112 @@ func ScaledConfig(engineWorkers int) protocol.Config {
 		// concurrency. Identical for every EngineWorkers value.
 		TimeQuantum: 1e-2,
 	}
+	return Scenario{Name: name, Family: FamilyScaled, setup: func() (func() (float64, error), error) {
+		nw, sessions, err := scaledNetwork()
+		if err != nil {
+			return nil, err
+		}
+		return func() (float64, error) {
+			return aggregate(omnc.RunMulti(nw, sessions, omnc.MORE(), cfg))
+		}, nil
+	}}
 }
 
-// Run executes the scaled multi-session workload on nw with the scenario's
-// engine selection. MORE keeps the measured work purely emulation + coding
-// (no rate-control preamble diluting the parallel section).
-func (s ScaledMultiScenario) Run(nw *topology.Network, sessions []omnc.Endpoints) (*protocol.MultiStats, error) {
-	return omnc.RunMulti(nw, sessions, omnc.MORE(), ScaledConfig(s.EngineWorkers))
+// session is one single-session scenario on the strip network.
+func session(family, name string, proto omnc.Protocol, cfg protocol.Config) Scenario {
+	return Scenario{Name: name, Family: family, setup: func() (func() (float64, error), error) {
+		nw, src, dst, err := network()
+		if err != nil {
+			return nil, err
+		}
+		return func() (float64, error) {
+			st, err := omnc.Run(nw, src, dst, proto, cfg)
+			if err != nil {
+				return 0, err
+			}
+			if st.GenerationsDecoded == 0 {
+				return 0, fmt.Errorf("session decoded nothing")
+			}
+			return st.Throughput, nil
+		}, nil
+	}}
 }
 
-// Network returns the fixed session-benchmark topology: a 12-node strip
-// with the paper's lossy PHY, wide enough that OMNC selects a multi-relay
-// subgraph but small enough that one session run stays cheap. Src and dst
-// sit four strip segments apart.
-func Network() (nw *topology.Network, src, dst int, err error) {
+// multi is one FamilyMulti scenario: sessions of proto contending on the
+// shared engine over the strip network.
+func multi(name string, proto omnc.Protocol, sessions []omnc.Endpoints, cfg protocol.Config) Scenario {
+	return Scenario{Name: name, Family: FamilyMulti, setup: func() (func() (float64, error), error) {
+		nw, _, _, err := network()
+		if err != nil {
+			return nil, err
+		}
+		return func() (float64, error) {
+			return aggregate(omnc.RunMulti(nw, sessions, proto, cfg))
+		}, nil
+	}}
+}
+
+// aggregate is a multi-session run's aggregate throughput; every session
+// must deliver something.
+func aggregate(ms *protocol.MultiStats, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	for j, st := range ms.PerSession {
+		if st.Throughput <= 0 {
+			return 0, fmt.Errorf("session %d delivered nothing", j)
+		}
+	}
+	return ms.AggregateThroughput, nil
+}
+
+// scaledNetwork returns the scaling-benchmark topology: sixteen
+// radio-isolated copies of the network() strip (stacked 200 m apart, beyond
+// the 100 m PHY range), one session crossing each copy. Isolation keeps the
+// per-session oracle rate allocations alike, so sessions transmit near
+// lockstep and their same-timestamp deliveries form multi-shard rounds —
+// the workload shape the parallel engine accelerates.
+func scaledNetwork() (nw *topology.Network, sessions []omnc.Endpoints, err error) {
+	const strips = 16
+	positions := make([]topology.Point, 0, strips*12)
+	for s := 0; s < strips; s++ {
+		positions = append(positions, strip(float64(s)*200)...)
+	}
+	nw, err = topology.FromPositions(positions, topology.DefaultPHY())
+	if err != nil {
+		return nil, nil, err
+	}
+	for s := 0; s < strips; s++ {
+		sessions = append(sessions, omnc.Endpoints{Src: s * 12, Dst: s*12 + 10})
+	}
+	return nw, sessions, nil
+}
+
+// strip is the 12 node positions of one strip at height y: two staggered
+// rows of six, 55 m apart along the strip.
+func strip(y float64) []topology.Point {
 	positions := make([]topology.Point, 0, 12)
 	for i := 0; i < 6; i++ {
 		positions = append(positions,
-			topology.Point{X: float64(i) * 55, Y: 0},
-			topology.Point{X: float64(i)*55 + 27, Y: 45},
+			topology.Point{X: float64(i) * 55, Y: y},
+			topology.Point{X: float64(i)*55 + 27, Y: y + 45},
 		)
 	}
-	nw, err = topology.FromPositions(positions, topology.DefaultPHY())
+	return positions
+}
+
+// network returns the fixed session-benchmark topology: a 12-node strip
+// with the paper's lossy PHY, wide enough that OMNC selects a multi-relay
+// subgraph but small enough that one session run stays cheap. Src and dst
+// sit four strip segments apart.
+func network() (nw *topology.Network, src, dst int, err error) {
+	nw, err = topology.FromPositions(strip(0), topology.DefaultPHY())
 	return nw, 0, 10, err
 }
 
-// Config bounds the session by decoded generations, not wall-clock, so
+// config bounds the session by decoded generations, not wall-clock, so
 // every benchmark iteration does identical coding work.
-func Config(seed int64) protocol.Config {
+func config(seed int64) protocol.Config {
 	return protocol.Config{
 		Coding:         coding.Params{GenerationSize: 16, BlockSize: 256},
 		AirPacketSize:  16 + 1024,
@@ -255,9 +262,4 @@ func Config(seed int64) protocol.Config {
 		MaxGenerations: 4,
 		Seed:           seed,
 	}
-}
-
-// Run executes one session of the scenario on nw.
-func (s Scenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats, error) {
-	return omnc.Run(nw, src, dst, s.Proto, Config(s.Seed))
 }
